@@ -252,6 +252,11 @@ func CaptureGPUAt(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, che
 }
 
 // CaptureGPUObs is CaptureGPUAt with telemetry; see CharacterizeGPUObs.
+// The capture is pipelined (gpusim.GPU.CapturePipelined): the calling
+// goroutine runs the host program and each kernel functionally, while a
+// second goroutine prices every recorded launch on the timing model, so
+// launch k+1 executes while launch k is timed and validation overlaps the
+// last launches' timing. It returns only after pricing has drained.
 func CaptureGPUObs(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, check bool, r *obs.Registry) (*gpusim.Stats, *gpusim.RunTrace, error) {
 	in := b.InstanceAt(size)
 	g, err := gpusim.New(cfg)
@@ -259,16 +264,31 @@ func CaptureGPUObs(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Config, ch
 		return nil, nil, err
 	}
 	g.SetObs(r)
-	tb := g.Capture()
-	if err := in.Run(g); err != nil {
-		return nil, nil, fmt.Errorf("core: %s on %s: %w", b.Abbrev, cfg.Name, err)
+	tb := g.CapturePipelined()
+	runErr, checkErr := runPipelined(in, g, tb, check)
+	if runErr != nil {
+		return nil, nil, fmt.Errorf("core: %s on %s: %w", b.Abbrev, cfg.Name, runErr)
 	}
-	if check {
-		if err := in.Check(); err != nil {
-			return nil, nil, fmt.Errorf("core: %s on %s failed validation: %w", b.Abbrev, cfg.Name, err)
-		}
+	if checkErr != nil {
+		return nil, nil, fmt.Errorf("core: %s on %s failed validation: %w", b.Abbrev, cfg.Name, checkErr)
 	}
 	return g.Stats, tb.Trace(), nil
+}
+
+// runPipelined runs the instance on a pipelined capture and, with check
+// set, validates the results while pricing finishes. Wait runs even when
+// Run or Check panics, so the pricing goroutine never outlives the call;
+// a pricing failure surfaces as runErr, a pricing panic re-panics here.
+func runPipelined(in *kernels.Instance, g *gpusim.GPU, tb *gpusim.TraceBuilder, check bool) (runErr, checkErr error) {
+	defer func() {
+		if err := tb.Wait(); runErr == nil {
+			runErr = err
+		}
+	}()
+	if runErr = in.Run(g); runErr == nil && check {
+		checkErr = in.Check()
+	}
+	return runErr, checkErr
 }
 
 // ReplayGPU characterizes a benchmark from a recorded trace instead of

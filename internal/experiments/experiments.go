@@ -150,10 +150,12 @@ type gpuCall struct {
 	err   error
 }
 
-// profilesCall is the in-flight or completed CPU-profile sweep.
+// profilesCall is the in-flight or completed CPU-profile sweep. err is
+// set only when the sweep panicked.
 type profilesCall struct {
 	done     chan struct{}
 	profiles []*core.CPUProfile
+	err      error
 }
 
 // The characterization entry points are swappable so tests can count and
@@ -162,6 +164,7 @@ var (
 	characterizeGPU = core.CharacterizeGPUObs
 	captureGPU      = core.CaptureGPUObs
 	replayGPU       = core.ReplayGPUObs
+	characterizeCPU = core.CharacterizeCPUAllObs
 )
 
 // NewContext returns an empty cache with validation and trace replay
@@ -206,8 +209,17 @@ func (c *Context) GPUAt(b *kernels.Benchmark, size sizes.Class, cfg gpusim.Confi
 	c.gpuCalls[key] = call
 	c.mu.Unlock()
 
+	// A panic below still completes the call: it is recorded as the
+	// call's error, so waiters and later requests for the key get an
+	// error instead of blocking forever, and re-raised for this caller.
+	defer close(call.done)
+	defer func() {
+		if v := recover(); v != nil {
+			call.err = fmt.Errorf("experiments: %s@%s on %s panicked: %v", b.Abbrev, size, cfg.Name, v)
+			panic(v)
+		}
+	}()
 	call.stats, call.err = c.gpuTiers(b, size, cfg, key)
-	close(call.done)
 	return call.stats, call.err
 }
 
@@ -385,12 +397,23 @@ func (c *Context) ProfilesAt(size sizes.Class) []*core.CPUProfile {
 		call = &profilesCall{done: make(chan struct{})}
 		c.profCalls[size] = call
 		c.mu.Unlock()
+		// As in GPUAt, a panic completes the call with an error; having no
+		// error result, later requests for the class re-panic with it.
+		defer close(call.done)
+		defer func() {
+			if v := recover(); v != nil {
+				call.err = fmt.Errorf("experiments: CPU profiling at %s panicked: %v", size, v)
+				panic(v)
+			}
+		}()
 		call.profiles = c.computeProfiles(size)
-		close(call.done)
 		return call.profiles
 	}
 	c.mu.Unlock()
 	<-call.done
+	if call.err != nil {
+		panic(call.err)
+	}
 	return call.profiles
 }
 
@@ -411,7 +434,7 @@ func (c *Context) computeProfiles(size sizes.Class) []*core.CPUProfile {
 			return ps
 		}
 	}
-	ps := core.CharacterizeCPUAllObs(ws, size, c.Workers, c.Obs)
+	ps := characterizeCPU(ws, size, c.Workers, c.Obs)
 	if c.Store != nil {
 		if perr := c.Store.SaveProfiles(pkey, ps); perr != nil {
 			c.tracef("diskerr  cpu-profiles@%s: %v", size, perr)

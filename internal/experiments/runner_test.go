@@ -9,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/sizes"
+	"repro/internal/workloads"
 )
 
 // TestContextSingleflight hammers one memoization key from many
@@ -296,5 +298,109 @@ func TestRunConcurrentPanicRecovery(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Fatalf("goroutine leak: %d before, %d after", before, now)
+	}
+}
+
+// callOrPanic runs f, returning the value it panicked with (nil if it
+// returned), and fails the test if f does not finish within a deadline —
+// the hang a memo entry left incomplete by a panic used to cause.
+func callOrPanic(t *testing.T, f func()) any {
+	t.Helper()
+	res := make(chan any, 1)
+	go func() {
+		defer func() { res <- recover() }()
+		f()
+	}()
+	select {
+	case v := <-res:
+		return v
+	case <-time.After(30 * time.Second):
+		t.Fatal("memoized call blocked after an earlier panic")
+		return nil
+	}
+}
+
+// TestContextPanicCompletesCall panics through the GPU characterization
+// hooks — capture on the replay path, characterizeGPU without replay —
+// and asserts the panic reaches the first caller while a concurrent
+// waiter and every later request for the key get an error instead of
+// blocking.
+func TestContextPanicCompletesCall(t *testing.T) {
+	origChar, origCap := characterizeGPU, captureGPU
+	defer func() { characterizeGPU, captureGPU = origChar, origCap }()
+	for _, replay := range []bool{true, false} {
+		release := make(chan struct{})
+		var runs atomic.Int32
+		boom := func() {
+			runs.Add(1)
+			<-release
+			panic("boom")
+		}
+		captureGPU = func(*kernels.Benchmark, sizes.Class, gpusim.Config, bool, *obs.Registry) (*gpusim.Stats, *gpusim.RunTrace, error) {
+			boom()
+			return nil, nil, nil
+		}
+		characterizeGPU = func(*kernels.Benchmark, sizes.Class, gpusim.Config, bool, *obs.Registry) (*gpusim.Stats, error) {
+			boom()
+			return nil, nil
+		}
+		ctx := NewContext()
+		ctx.Replay = replay
+		b := kernels.All()[0]
+		first := make(chan any, 1)
+		go func() {
+			defer func() { first <- recover() }()
+			ctx.GPUAt(b, sizes.Test, gpusim.Base())
+		}()
+		for runs.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		waiter := make(chan error, 1)
+		go func() {
+			_, err := ctx.GPUAt(b, sizes.Test, gpusim.Base())
+			waiter <- err
+		}()
+		time.Sleep(10 * time.Millisecond) // let the waiter block on the call
+		close(release)
+		if v := <-first; v != "boom" {
+			t.Fatalf("replay=%v: first caller got panic %v, want boom", replay, v)
+		}
+		select {
+		case err := <-waiter:
+			if err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+				t.Fatalf("replay=%v: waiter got %v, want the recorded panic", replay, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("replay=%v: waiter blocked after the panic", replay)
+		}
+		var err error
+		if v := callOrPanic(t, func() { _, err = ctx.GPUAt(b, sizes.Test, gpusim.Base()) }); v != nil {
+			t.Fatalf("replay=%v: later request panicked: %v", replay, v)
+		}
+		if err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+			t.Fatalf("replay=%v: later request got %v, want the recorded panic", replay, err)
+		}
+		if got := runs.Load(); got != 1 {
+			t.Fatalf("replay=%v: characterization ran %d times, want 1", replay, got)
+		}
+	}
+}
+
+// TestProfilesPanicCompletesCall is the CPU-profile counterpart: a panic
+// in the profiling pass reaches the first caller, and a later request
+// for the class re-panics with the recorded error rather than blocking.
+func TestProfilesPanicCompletesCall(t *testing.T) {
+	orig := characterizeCPU
+	defer func() { characterizeCPU = orig }()
+	characterizeCPU = func([]*workloads.Workload, sizes.Class, int, *obs.Registry) []*core.CPUProfile {
+		panic("boom")
+	}
+	ctx := NewContext()
+	if v := callOrPanic(t, func() { ctx.ProfilesAt(sizes.Test) }); v != "boom" {
+		t.Fatalf("first caller got panic %v, want boom", v)
+	}
+	v := callOrPanic(t, func() { ctx.ProfilesAt(sizes.Test) })
+	if err, ok := v.(error); !ok || !strings.Contains(err.Error(), "panicked: boom") {
+		t.Fatalf("later request got %v, want the recorded panic as an error", v)
 	}
 }

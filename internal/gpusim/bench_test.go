@@ -41,7 +41,8 @@ func BenchmarkGPUCharacterize(b *testing.B) {
 // timing engines from functional execution), and each sub-benchmark
 // reports the shard-barrier crossings its engine performed: lockstep
 // (epoch 1) crosses once per cycle, the epoch engine once per round.
-// BENCH_parallel.json records the host numbers.
+// The epoch_probe entries in perfbench/baseline.json record the host
+// numbers.
 func BenchmarkShardScaling(b *testing.B) {
 	var traces []*RunTrace
 	for _, bench := range kernels.All() {

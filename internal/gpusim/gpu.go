@@ -27,8 +27,9 @@ type GPU struct {
 	l2      *cache
 	sharing *sharingTracker
 
-	// capture, when non-nil, records the functional half of every launch
-	// into a RunTrace for later replay (trace.go).
+	// capture, when non-nil, runs every launch functionally first,
+	// recording it into a RunTrace for later replay, and prices the
+	// recording (trace.go).
 	capture *TraceBuilder
 
 	// obsC, when non-nil, is the cached set of registry instruments the
@@ -92,6 +93,11 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("gpusim: no kernels to launch")
 	}
+	if g.capture != nil {
+		if handled, err := g.capture.launch(specs); handled {
+			return err
+		}
+	}
 	rss := make([]*runSpec, 0, len(specs))
 	for i, spec := range specs {
 		rss = append(rss, &runSpec{
@@ -99,30 +105,18 @@ func (g *GPU) LaunchConcurrent(specs []LaunchSpec) error {
 			kStats: NewStats(g.cfg.Name),
 		})
 	}
-	var rec *isa.LaunchRecorder
-	if g.capture != nil {
-		// Only single-kernel launches are replayable: concurrent kernels
-		// share the dispatch cursors, so their CTA placement is coupled in
-		// ways the validity predicate does not model.
-		if len(specs) != 1 {
-			g.capture.invalidate(fmt.Sprintf("concurrent launch of %d kernels", len(specs)))
-		} else if usesAtomics(specs[0].Kernel) {
-			g.capture.invalidate(fmt.Sprintf("kernel %s uses atomics", specs[0].Kernel.Name))
-		} else if r, err := isa.NewLaunchRecorder(specs[0].Kernel, specs[0].Launch); err != nil {
-			g.capture.invalidate(err.Error())
-		} else {
-			rec = r
-			rss[0].rec = rec
-		}
-	}
-	if err := g.runLaunch(rss); err != nil {
-		if g.capture != nil {
-			g.capture.invalidate("launch failed: " + err.Error())
-		}
+	return g.runLaunch(rss)
+}
+
+// checkLaunch rejects a launch the device cannot run: invalid geometry,
+// or a kernel whose CTA exceeds one SM's resources.
+func (g *GPU) checkLaunch(k *isa.Kernel, launch isa.Launch) error {
+	if err := launch.Validate(); err != nil {
 		return err
 	}
-	if rec != nil {
-		g.capture.add(rec.Finalize())
+	if g.CTAsPerSM(k, launch.Block) == 0 {
+		return fmt.Errorf("gpusim: kernel %s (regs=%d shared=%d block=%d) exceeds SM resources of %s",
+			k.Name, k.Regs(), k.SharedBytes, launch.Block, g.cfg.Name)
 	}
 	return nil
 }
@@ -143,12 +137,8 @@ func (g *GPU) runLaunch(rss []*runSpec) error {
 		d.lo = ls.lo
 	}
 	for _, sp := range rss {
-		if err := sp.launch.Validate(); err != nil {
+		if err := g.checkLaunch(sp.k, sp.launch); err != nil {
 			return err
-		}
-		if g.CTAsPerSM(sp.k, sp.launch.Block) == 0 {
-			return fmt.Errorf("gpusim: kernel %s (regs=%d shared=%d block=%d) exceeds SM resources of %s",
-				sp.k.Name, sp.k.Regs(), sp.k.SharedBytes, sp.launch.Block, g.cfg.Name)
 		}
 		ls.specs = append(ls.specs, sp)
 		ls.pending += sp.launch.Grid

@@ -38,11 +38,6 @@ type warpRT struct {
 	// epoch mode.
 	parked    bool
 	parkBound uint64
-
-	// rec, when non-nil, records every step the warp executes for later
-	// replay (trace.go). A warp belongs to exactly one SM, so recording
-	// needs no synchronization even on the shard-parallel path.
-	rec *isa.WarpRecorder
 }
 
 type ctaRT struct {
@@ -138,9 +133,10 @@ type LaunchSpec struct {
 }
 
 // runSpec is a LaunchSpec plus its dispatch cursor and per-kernel stats.
-// Exactly one of three execution modes applies: live execution (mem set),
-// trace capture (mem and rec set), or trace replay (trace set, mem nil —
-// replay never touches benchmark memory).
+// Exactly one of two execution modes applies: live execution (mem set)
+// or trace replay (trace set, mem nil — replay never touches benchmark
+// memory). Trace capture records outside the event loop and prices the
+// recording as a replay (trace.go).
 type runSpec struct {
 	idx     int
 	k       *isa.Kernel
@@ -148,9 +144,7 @@ type runSpec struct {
 	mem     *isa.Memory
 	kStats  *Stats
 	nextCTA int
-
-	rec   *isa.LaunchRecorder
-	trace *isa.LaunchTrace
+	trace   *isa.LaunchTrace
 }
 
 // statsSink is where one execution stream accumulates counters: the
@@ -238,9 +232,6 @@ func (ls *launchState) fill(sm *smRT, now uint64) {
 				wrt.w, wrt.cta, wrt.env, wrt.readyAt = w, rt, cta.Env, now
 				wrt.done = w.Done()
 				wrt.blocked = wrt.done
-				if sp.rec != nil {
-					wrt.rec = sp.rec.Warp(cta.Index, i)
-				}
 				rt.warps = append(rt.warps, wrt)
 				if !wrt.done {
 					rt.live++
@@ -411,9 +402,6 @@ func (ls *launchState) execWarp(sm *smRT, w *warpRT, sink statsSink, out *issued
 	}
 	if err != nil {
 		return err
-	}
-	if w.rec != nil {
-		w.rec.Record(st)
 	}
 	out.w = w
 	out.mem = false

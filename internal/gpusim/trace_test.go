@@ -1,9 +1,12 @@
 package gpusim
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 )
@@ -165,5 +168,186 @@ func TestTraceStrictPlacement(t *testing.T) {
 	same := Base()
 	if err := rt.CompatibleWith(&same, true); err != nil {
 		t.Fatalf("strict predicate rejected the capture config: %v", err)
+	}
+}
+
+// waitGoroutines polls until the goroutine count drops to at most want:
+// a goroutine that has closed its done channel still needs a moment to
+// exit.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most %d: pricing goroutine leaked", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelinedCaptureMatchesCapture runs the same launches through a
+// synchronous and a pipelined capture: Stats and the recorded trace must
+// be identical.
+func TestPipelinedCaptureMatchesCapture(t *testing.T) {
+	const n = 2048
+	run := func(pipelined bool) (*Stats, *RunTrace) {
+		mem, _ := setupVecAdd(n)
+		g, err := New(Base8SM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := g.Capture()
+		if pipelined {
+			tb = g.CapturePipelined()
+		}
+		for i := 0; i < 3; i++ {
+			if err := g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, mem); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return g.Stats, tb.Trace()
+	}
+	wantSt, wantRT := run(false)
+	gotSt, gotRT := run(true)
+	if !reflect.DeepEqual(gotSt, wantSt) {
+		t.Fatalf("pipelined stats diverge\n got: %+v\nwant: %+v", gotSt, wantSt)
+	}
+	if gotRT.NumLaunches() != 3 || gotRT.Bytes() != wantRT.Bytes() {
+		t.Fatalf("pipelined trace: %d launches, %d bytes; want 3, %d", gotRT.NumLaunches(), gotRT.Bytes(), wantRT.Bytes())
+	}
+	for i := range wantRT.launches {
+		if !reflect.DeepEqual(gotRT.launches[i].Warps, wantRT.launches[i].Warps) {
+			t.Fatalf("launch %d: pipelined trace bytes differ", i)
+		}
+	}
+}
+
+// TestPipelinedPricingPanic injects a panic into pricing: it must reach
+// the goroutine calling Wait, fail later launches, invalidate the trace
+// and leave no goroutine behind.
+func TestPipelinedPricingPanic(t *testing.T) {
+	const n = 512
+	before := runtime.NumGoroutine()
+	mem, _ := setupVecAdd(n)
+	g, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := g.CapturePipelined()
+	tb.price = func(*isa.LaunchTrace) error { panic("boom") }
+	launch := isa.Launch{Grid: n / 256, Block: 256}
+	if err := g.Launch(vecAddKernel(), launch, mem); err != nil {
+		t.Fatalf("launch before the pricing panic surfaced: %v", err)
+	}
+	func() {
+		defer func() {
+			v := recover()
+			if err, ok := v.(error); !ok || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("Wait raised %v, want the pricing panic", v)
+			}
+		}()
+		tb.Wait()
+		t.Fatal("Wait returned after a pricing panic")
+	}()
+	waitGoroutines(t, before)
+	if err := g.Launch(vecAddKernel(), launch, mem); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("launch after the pricing panic = %v, want it to fail", err)
+	}
+	if err := tb.Trace().Replayable(); err == nil {
+		t.Fatal("trace still replayable after a pricing panic")
+	}
+}
+
+// TestPipelinedPricingError injects a pricing error: the next launch
+// observes it, Wait returns it, and the goroutine is gone.
+func TestPipelinedPricingError(t *testing.T) {
+	const n = 512
+	before := runtime.NumGoroutine()
+	mem, _ := setupVecAdd(n)
+	g, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := g.CapturePipelined()
+	tb.price = func(*isa.LaunchTrace) error { return errors.New("pricing failed") }
+	launch := isa.Launch{Grid: n / 256, Block: 256}
+	if err := g.Launch(vecAddKernel(), launch, mem); err != nil {
+		t.Fatal(err)
+	}
+	for tb.pricingErr() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	if err := g.Launch(vecAddKernel(), launch, mem); err == nil || err.Error() != "pricing failed" {
+		t.Fatalf("launch after a pricing error = %v, want the pricing error", err)
+	}
+	waitGoroutines(t, before)
+	if err := tb.Wait(); err == nil || err.Error() != "pricing failed" {
+		t.Fatalf("Wait = %v, want the pricing error", err)
+	}
+	if err := tb.Trace().Replayable(); err == nil || !strings.Contains(err.Error(), "pricing failed") {
+		t.Fatalf("Replayable = %v, want the pricing error", err)
+	}
+}
+
+// TestPipelinedFunctionalFault faults a kernel mid-run: the faulting
+// launch stops pricing and waits for the goroutine before it returns its
+// error, the launches before it stay priced, and the trace is invalid.
+func TestPipelinedFunctionalFault(t *testing.T) {
+	const n = 512
+	before := runtime.NumGoroutine()
+	g, err := New(Base8SM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := g.CapturePipelined()
+	mem, _ := setupVecAdd(n)
+	launch := isa.Launch{Grid: n / 256, Block: 256}
+	if err := g.Launch(vecAddKernel(), launch, mem); err != nil {
+		t.Fatal(err)
+	}
+	bad, _ := setupVecAdd(n)
+	bad.SetParamI(3, 4*n) // bounds check past the arrays: loads fault
+	if err := g.Launch(vecAddKernel(), isa.Launch{Grid: 4 * n / 256, Block: 256}, bad); err == nil {
+		t.Fatal("faulting launch returned nil")
+	}
+	waitGoroutines(t, before)
+	if err := tb.Wait(); err != nil {
+		t.Fatalf("Wait = %v after a functional fault, want nil (the launch reported it)", err)
+	}
+	if err := tb.Trace().Replayable(); err == nil || !strings.Contains(err.Error(), "launch failed") {
+		t.Fatalf("Replayable = %v, want a launch-failed invalidation", err)
+	}
+	if g.Stats.Launches != 1 {
+		t.Fatalf("%d launches priced, want the one before the fault", g.Stats.Launches)
+	}
+}
+
+// TestReferenceInterpCaptureRunsLive asserts a capture under the
+// reference interpreter invalidates its trace and runs live, with Stats
+// equal to a plain reference run.
+func TestReferenceInterpCaptureRunsLive(t *testing.T) {
+	const n = 512
+	cfg := Base8SM()
+	cfg.ReferenceInterp = true
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := g.CapturePipelined()
+	mem, _ := setupVecAdd(n)
+	if err := g.Launch(vecAddKernel(), isa.Launch{Grid: n / 256, Block: 256}, mem); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Trace().Replayable(); err == nil || !strings.Contains(err.Error(), "reference interpreter") {
+		t.Fatalf("Replayable = %v, want a reference-interpreter invalidation", err)
+	}
+	if want := liveStats(t, cfg, n); !reflect.DeepEqual(g.Stats, want) {
+		t.Fatalf("stats diverge from a live reference run\n got: %+v\nwant: %+v", g.Stats, want)
 	}
 }

@@ -144,7 +144,7 @@ const maxFunctionalSteps = 1 << 30
 // Functional executes kernels for correctness only, with no timing model.
 // Warps within a CTA run to the next barrier in turn, which is a valid
 // schedule for kernels whose inter-warp communication goes through
-// barriers (all Rodinia kernels here).
+// barriers (all Rodinia kernels here). CTAs run one after another.
 type Functional struct {
 	// Steps counts warp instructions executed across launches.
 	Steps uint64
@@ -154,38 +154,69 @@ var _ Executor = (*Functional)(nil)
 
 // Launch runs the kernel to completion on every CTA of the launch.
 func (f *Functional) Launch(k *Kernel, launch Launch, mem *Memory) error {
+	return f.LaunchRecorded(k, launch, mem, nil)
+}
+
+// LaunchRecorded is Launch with every executed step appended to its
+// warp's stream in rec; a nil rec records nothing. The recorded streams
+// are the ones any other schedule of the launch would produce, so the
+// timing simulator can replay them (gpusim's trace capture rests on
+// this), provided warps communicate within a launch only through
+// barriers and the kernel has no atomics.
+func (f *Functional) LaunchRecorded(k *Kernel, launch Launch, mem *Memory, rec *LaunchRecorder) error {
 	if err := launch.Validate(); err != nil {
 		return err
 	}
 	for ctaID := 0; ctaID < launch.Grid; ctaID++ {
 		cta := MakeCTA(k, ctaID, launch, mem)
-		if err := f.runCTA(k, cta); err != nil {
+		if err := f.runCTA(k, cta, rec); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (f *Functional) runCTA(k *Kernel, cta *CTA) error {
+func (f *Functional) runCTA(k *Kernel, cta *CTA, rec *LaunchRecorder) error {
 	var steps uint64
 	var st Step
 	for {
 		progressed := false
 		anyBarrier := false
-		for _, w := range cta.Warps {
-			for !w.Done() && !w.AtBarrier() {
+		for wi, wx := range cta.Warps {
+			w := wx.(*Warp) // MakeCTA builds flat-register warps
+			if w.Done() {
+				continue
+			}
+			if w.AtBarrier() {
+				anyBarrier = true
+				continue
+			}
+			var wr *WarpRecorder
+			if rec != nil {
+				wr = rec.Warp(cta.Index, wi)
+			}
+			// Run the warp to its next barrier or its exit; the step
+			// reports both, so the loop needs no per-step state query.
+			for {
 				if err := w.Exec(cta.Env, &st); err != nil {
 					return err
 				}
-				progressed = true
+				if wr != nil {
+					wr.Record(&st)
+				}
 				steps++
 				if steps > maxFunctionalSteps {
 					return fmt.Errorf("isa: kernel %s cta %d exceeded %d steps; runaway loop?", k.Name, cta.Index, maxFunctionalSteps)
 				}
+				if st.Done {
+					break
+				}
+				if st.AtBarrier {
+					anyBarrier = true
+					break
+				}
 			}
-			if w.AtBarrier() {
-				anyBarrier = true
-			}
+			progressed = true
 		}
 		f.Steps += steps
 		steps = 0

@@ -97,9 +97,8 @@ func (lt *LaunchTrace) Bytes() int64 {
 	return int64(data) + int64(len(lt.Warps))*headerSize
 }
 
-// WarpRecorder accumulates one warp's stream during capture. Each warp
-// has its own recorder, so the shard-parallel simulator records without
-// cross-SM synchronization.
+// WarpRecorder accumulates one warp's stream during capture, one Record
+// per executed step in the warp's program order.
 type WarpRecorder struct {
 	data     []byte
 	prevPC   int // -1 before the first step, so PC 0 is a compact advance
